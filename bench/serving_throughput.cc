@@ -23,7 +23,7 @@
  * traffic the hot-label cache is built for — twice through the
  * functional serve path (cache on vs cache off) and asserts served
  * outputs are memcmp-identical while the cache-on p50 lands strictly
- * below cache-off (hits skip the screener, and the dispatcher deducts
+ * below cache-off (hits skip the screener, and the serve loop deducts
  * that share from the modeled batch time). It then runs a live threaded
  * load with a screener refresh scheduled mid-run and asserts zero
  * dropped and zero wrong responses: every response must match a
@@ -420,7 +420,7 @@ runCheckAuto(int argc, char **argv, const obs::MetricsOptions &metrics)
  *     with the cache on is memcmp-identical, response for response, to
  *     the same trace served with the cache off;
  *  2. the cache-on p50 is strictly below the cache-off p50 (validated
- *     hits skip the screener, and the dispatcher deducts the skipped
+ *     hits skip the screener, and the serve loop deducts the skipped
  *     screener share from the modeled batch service time);
  *  3. a live threaded load with a screener refresh scheduled mid-run
  *     drops nothing and corrupts nothing: every response matches a

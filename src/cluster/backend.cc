@@ -4,22 +4,29 @@
 
 namespace enmc::cluster {
 
-ClusterBackend::ClusterBackend(const ClusterConfig &cfg)
-    : Backend(cfg.node), cluster_cfg_(cfg)
+ClusterBackend::ClusterBackend(const ClusterConfig &cfg,
+                               const runtime::JobSpec &job)
+    : Backend(cfg.node), router_(cfg, job)
 {
-    validate(cluster_cfg_);
+}
+
+std::string
+ClusterBackend::name() const
+{
+    return "cluster(" + std::to_string(router_.nodeCount()) + "x" +
+           router_.config().node_backend + ")";
 }
 
 runtime::BackendCapabilities
 ClusterBackend::capabilities() const
 {
+    const ClusterConfig &cfg = router_.config();
     runtime::BackendCapabilities caps;
-    caps.timing = true;
-    caps.functional = false; // functional batches go through the router
-    caps.description = std::to_string(cluster_cfg_.nodes) +
+    caps.functional = false; // functional batches go through forward()
+    caps.description = std::to_string(cfg.nodes) +
                        "-node sharded ENMC cluster (replication " +
-                       std::to_string(cluster_cfg_.replication) + ", " +
-                       cluster_cfg_.node_backend + " nodes)";
+                       std::to_string(cfg.replication) + ", " +
+                       cfg.node_backend + " nodes)";
     return caps;
 }
 
@@ -30,47 +37,35 @@ ClusterBackend::runSlice(const arch::RankTask &) const
                "use runJob or route through a ClusterRouter");
 }
 
-ClusterRouter &
-ClusterBackend::router(const runtime::JobSpec &spec) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = routers_.find(spec.categories);
-    if (it == routers_.end())
-        it = routers_
-                 .emplace(spec.categories, std::make_unique<ClusterRouter>(
-                                               cluster_cfg_, spec))
-                 .first;
-    return *it->second;
-}
-
 runtime::TimingResult
 ClusterBackend::runJob(const runtime::JobSpec &spec) const
 {
     runtime::TimingResult res;
-    res.seconds = router(spec).serviceUs(spec.batch, spec.candidates) / 1e6;
-    res.ranks = cluster_cfg_.nodes * cluster_cfg_.node.totalRanks();
+    res.seconds = router_.serviceUs(spec.batch, spec.candidates) / 1e6;
+    res.ranks = router_.nodeCount() * cfg_.totalRanks();
     return res;
 }
 
-void
-registerClusterBackend()
+runtime::BatchRun
+ClusterBackend::runBatch(const runtime::JobSpec &spec, double now_us)
 {
-    static const bool registered = [] {
-        runtime::BackendRegistry::instance().add(
-            "cluster", [](const runtime::SystemConfig &sys) {
-                ClusterConfig base;
-                base.node = sys;
-                return std::make_unique<ClusterBackend>(
-                    clusterConfigFromEnv(base));
-            });
-        return true;
-    }();
-    (void)registered;
+    router_.routeBatch(spec.batch, spec.candidates, now_us);
+    return {name(), runJob(spec)};
 }
 
-namespace {
-// Best-effort self-registration for binaries that link this TU anyway.
-const bool kRegistered = (registerClusterBackend(), true);
-} // namespace
+std::vector<runtime::ClassifierOutput>
+ClusterBackend::forward(runtime::EnmcClassifier &clf,
+                        const std::vector<tensor::Vector> &h_batch, size_t k)
+{
+    const auto snap = clf.snapshots().current();
+    ENMC_ASSERT(snap != nullptr, "cluster forward before any screener");
+    // Same ranks-per-node the classifier itself slices across, so a
+    // 1-node cluster is bit-identical to the classifier's own forward.
+    std::vector<runtime::ClassifierOutput> outs = router_.computeBatch(
+        clf.teacher(), snap->screener(), h_batch, k, clf.options().ranks);
+    for (runtime::ClassifierOutput &out : outs)
+        out.snapshot_epoch = snap->epoch();
+    return outs;
+}
 
 } // namespace enmc::cluster

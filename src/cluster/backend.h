@@ -1,21 +1,15 @@
 /**
  * @file
- * The cluster fabric behind the uniform `runtime::Backend` interface,
- * registered as `"cluster"` in the backend registry: `runJob` times one
- * batch's scatter -> compute -> gather through a `ClusterRouter` over the
- * job's label space, so every registry consumer (benches, the serving
- * layer's `ENMC_SERVE_BACKEND=cluster`) can select the whole fabric the
- * same way it selects a single rank model. Cluster shape comes from the
- * `ENMC_CLUSTER_*` environment (see `cluster/config.h`); the system
- * configuration handed to the factory becomes every node's local system.
+ * The cluster fabric behind the uniform `runtime::Backend` interface:
+ * one `ClusterRouter` over the job's label space. The serve loop builds
+ * it for `ServeConfig::backend == "cluster"` and drives it like any
+ * other backend — `runBatch` routes a dispatched batch (firing any
+ * scripted kill) and then times it, `runJob` times without routing, and
+ * `forward` scatter/gathers the functional batch across the shards.
  */
 
 #ifndef ENMC_CLUSTER_BACKEND_H
 #define ENMC_CLUSTER_BACKEND_H
-
-#include <map>
-#include <memory>
-#include <mutex>
 
 #include "cluster/router.h"
 #include "runtime/backend.h"
@@ -25,35 +19,41 @@ namespace enmc::cluster {
 class ClusterBackend : public runtime::Backend
 {
   public:
-    explicit ClusterBackend(const ClusterConfig &cfg);
+    /**
+     * @param cfg Cluster shape; `cfg.node` is every node's local system.
+     * @param job Full-scale job dimensions; `job.categories` is the label
+     *            space the router shards.
+     */
+    ClusterBackend(const ClusterConfig &cfg, const runtime::JobSpec &job);
 
-    std::string name() const override { return "cluster"; }
+    /** "cluster(<nodes>x<node backend>)", the route every batch records. */
+    std::string name() const override;
     runtime::BackendCapabilities capabilities() const override;
 
     /** Panics: the fabric has no single-rank slice view. */
     arch::RankResult runSlice(const arch::RankTask &task) const override;
 
+    /** Scatter -> compute -> gather time over the current node health. */
     runtime::TimingResult runJob(const runtime::JobSpec &spec) const override;
 
-    const ClusterConfig &clusterConfig() const { return cluster_cfg_; }
+    /** Route the batch first: a kill it fires re-times this very batch. */
+    runtime::BatchRun runBatch(const runtime::JobSpec &spec,
+                               double now_us) override;
 
-    /** The (lazily built) router over `categories` label rows. */
-    ClusterRouter &router(const runtime::JobSpec &spec) const;
+    /**
+     * Sharded functional forward. Holds one screener snapshot across the
+     * whole batch (a concurrent `refresh()` cannot free it mid-batch) and
+     * stamps its epoch on every output. Bit-identical to `clf.forward`.
+     */
+    std::vector<runtime::ClassifierOutput>
+    forward(runtime::EnmcClassifier &clf,
+            const std::vector<tensor::Vector> &h_batch, size_t k) override;
+
+    ClusterRouter &router() { return router_; }
 
   private:
-    ClusterConfig cluster_cfg_;
-    // One router per label-space size: runJob is const on Backend, but a
-    // router carries routing/memo state, so the cache is mutable.
-    mutable std::mutex mutex_;
-    mutable std::map<uint64_t, std::unique_ptr<ClusterRouter>> routers_;
+    ClusterRouter router_;
 };
-
-/**
- * Ensure `"cluster"` is in the backend registry. Idempotent; called by
- * consumers (the serving dispatcher, benches) so the static library's
- * registration TU is never dropped by the linker.
- */
-void registerClusterBackend();
 
 } // namespace enmc::cluster
 

@@ -16,7 +16,10 @@ ClusterNode::nodeSystem(uint32_t id, const ClusterConfig &cfg)
 }
 
 ClusterNode::ClusterNode(uint32_t id, const ClusterConfig &cfg)
-    : backend_(id, runtime::createBackend(cfg.node_backend, nodeSystem(id, cfg)),
+    : backend_(id,
+               std::make_unique<runtime::MemoizedBackend>(
+                   runtime::createBackend(cfg.node_backend,
+                                          nodeSystem(id, cfg))),
                cfg.node.resilience),
       system_(nodeSystem(id, cfg)),
       stats_("cluster.node." + std::to_string(id)),
@@ -49,19 +52,13 @@ ClusterNode::recordDispatch(uint64_t requests)
 
 double
 ClusterNode::shardJobUs(const runtime::JobSpec &job, uint64_t rows,
-                        uint64_t batch, uint64_t candidates)
+                        uint64_t batch, uint64_t candidates) const
 {
-    const auto key = std::make_tuple(rows, batch, candidates);
-    auto it = job_memo_.find(key);
-    if (it != job_memo_.end())
-        return it->second;
     runtime::JobSpec spec = job;
     spec.categories = rows;
     spec.batch = batch;
     spec.candidates = candidates;
-    const double us = backend_.runJob(spec).seconds * 1e6;
-    job_memo_.emplace(key, us);
-    return us;
+    return backend_.runJob(spec).seconds * 1e6;
 }
 
 void

@@ -78,11 +78,10 @@ ClusterRouter::killNodeLocked(uint32_t id, double now_us)
         return;
     nodes_[id]->kill();
     ++stat_kills_;
-    ++health_epoch_;
     obs::Tracer &tracer = obs::Tracer::instance();
     if (tracer.enabled())
         tracer.instant("node.kill", "cluster", obs::kClusterPid, id, now_us,
-                       {{"epoch", static_cast<double>(health_epoch_)}});
+                       {{"epoch", static_cast<double>(stat_kills_.value())}});
 }
 
 void
@@ -165,55 +164,46 @@ ClusterRouter::primaryLiveAssignment() const
 }
 
 double
-ClusterRouter::serviceUs(uint64_t batch, uint64_t candidates)
+ClusterRouter::serviceUs(uint64_t batch, uint64_t candidates) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto key = std::make_tuple(batch, candidates, health_epoch_);
-    auto it = service_memo_.find(key);
-    if (it != service_memo_.end())
-        return it->second;
-
     const std::vector<uint32_t> owners = primaryLiveAssignment();
     const uint64_t cand_share = candidateShare(candidates);
 
     // A one-node cluster is the degenerate fabric: no scatter, no gather,
     // no handoff — exactly the single-backend service time, so the
     // 1-node cluster stays bit-identical to the non-cluster path.
-    double us = 0.0;
-    if (nodes_.size() == 1) {
-        us = nodes_[0]->shardJobUs(job_, shards_[0].rows, batch,
-                                   candidates);
-    } else {
-        // Scatter: the router sends each owning shard's features
-        // point-to-point, plus one ingest handoff per shard message.
-        const uint64_t feat_bytes =
-            batch * (ceilDiv(job_.reduced, 2) + job_.hidden * 4);
-        const double scatter_us =
-            cfg_.network.latency * 1e6 +
-            static_cast<double>(shards_.size() * feat_bytes) /
-                cfg_.network.bandwidth * 1e6 +
-            static_cast<double>(shards_.size()) * cfg_.node_handoff_us;
+    if (nodes_.size() == 1)
+        return nodes_[0]->shardJobUs(job_, shards_[0].rows, batch,
+                                     candidates);
 
-        // Compute: shards assigned to the same node serialize on it; the
-        // batch finishes when the slowest node does.
-        std::vector<double> node_us(nodes_.size(), 0.0);
-        for (size_t s = 0; s < shards_.size(); ++s)
-            node_us[owners[s]] += nodes_[owners[s]]->shardJobUs(
-                job_, shards_[s].rows, batch, cand_share);
-        const double compute_us =
-            *std::max_element(node_us.begin(), node_us.end());
+    // Scatter: the router sends each owning shard's features
+    // point-to-point, plus one ingest handoff per shard message.
+    const uint64_t feat_bytes =
+        batch * (ceilDiv(job_.reduced, 2) + job_.hidden * 4);
+    const double scatter_us =
+        cfg_.network.latency * 1e6 +
+        static_cast<double>(shards_.size() * feat_bytes) /
+            cfg_.network.bandwidth * 1e6 +
+        static_cast<double>(shards_.size()) * cfg_.node_handoff_us;
 
-        // Gather: per-shard partial normalizer + accurate candidates.
-        const uint64_t result_bytes = batch * 8 + cand_share * batch * 8;
-        const double gather_us =
-            cfg_.network.latency * 1e6 +
-            static_cast<double>(shards_.size() * result_bytes) /
-                cfg_.network.bandwidth * 1e6;
+    // Compute: shards assigned to the same node serialize on it; the
+    // batch finishes when the slowest node does.
+    std::vector<double> node_us(nodes_.size(), 0.0);
+    for (size_t s = 0; s < shards_.size(); ++s)
+        node_us[owners[s]] += nodes_[owners[s]]->shardJobUs(
+            job_, shards_[s].rows, batch, cand_share);
+    const double compute_us =
+        *std::max_element(node_us.begin(), node_us.end());
 
-        us = scatter_us + compute_us + gather_us;
-    }
-    service_memo_.emplace(key, us);
-    return us;
+    // Gather: per-shard partial normalizer + accurate candidates.
+    const uint64_t result_bytes = batch * 8 + cand_share * batch * 8;
+    const double gather_us =
+        cfg_.network.latency * 1e6 +
+        static_cast<double>(shards_.size() * result_bytes) /
+            cfg_.network.bandwidth * 1e6;
+
+    return scatter_us + compute_us + gather_us;
 }
 
 std::vector<runtime::ClassifierOutput>

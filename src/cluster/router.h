@@ -28,10 +28,8 @@
 #ifndef ENMC_CLUSTER_ROUTER_H
 #define ENMC_CLUSTER_ROUTER_H
 
-#include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
 #include <vector>
 
 #include "cluster/config.h"
@@ -88,10 +86,11 @@ class ClusterRouter
      * handoff, the slowest node's summed shard work (shards fail over to
      * the first live replica), and the result gather. All network and
      * handoff terms vanish on a single-node cluster, which therefore
-     * times bit-identically to the plain single-backend path. Memoized
-     * per (batch, candidates, health epoch).
+     * times bit-identically to the plain single-backend path. Plain
+     * arithmetic over the nodes' memoized shard timings, so a health
+     * transition re-times the very next call. Routes nothing.
      */
-    double serviceUs(uint64_t batch, uint64_t candidates);
+    double serviceUs(uint64_t batch, uint64_t candidates) const;
 
     /**
      * Functional forward of a batch: every shard's owner runs its label
@@ -131,10 +130,6 @@ class ClusterRouter
     mutable std::mutex mutex_;
     uint64_t batches_routed_ = 0;
     bool scripted_kill_fired_ = false;
-    /** Bumped on every health transition; keys the service-time memo. */
-    uint64_t health_epoch_ = 0;
-    std::map<std::tuple<uint64_t, uint64_t, uint64_t>, double>
-        service_memo_;
 
     // Router-level stats ("cluster.router").
     StatGroup stats_;

@@ -96,6 +96,10 @@ struct Instruction
     StatusReg reg = StatusReg::FeatureBase;  //!< register operand
     bool reg_write = false;                  //!< Reg: INIT (true) or QUERY
     bool has_payload = false;                //!< DQ-bus payload follows
+    /// Explicit, zeroed alignment bytes before `payload`. Without them the
+    /// two padding bytes hold stack/heap leftovers, so byte-wise dumps of an
+    /// instruction (e.g. gtest's printing of a test parameter) vary per run.
+    uint8_t reserved[2] = {};
     uint64_t payload = 0;                    //!< address or register data
 
     std::string toString() const;

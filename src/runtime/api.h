@@ -19,6 +19,7 @@
 #ifndef ENMC_RUNTIME_API_H
 #define ENMC_RUNTIME_API_H
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
@@ -129,8 +130,9 @@ class EnmcClassifier
     const ClassifierOptions &options() const { return options_; }
     /**
      * The current snapshot's screener. Only safe while no concurrent
-     * swap can retire it (calibration, tests, the cluster path — which
-     * does not support hot-swap); forward() itself never uses this.
+     * swap can retire it (calibration, tests). Serving paths never use
+     * this: forward() and the cluster backend each hold
+     * `snapshots().current()` for the whole batch instead.
      */
     const screening::Screener &screener() const;
     const EnmcSystem &system() const { return system_; }
@@ -166,7 +168,8 @@ class EnmcClassifier
     /** Rng seed the current screener's projection was drawn from. */
     uint64_t projection_seed_ = 0;
     screening::CandidateCache cache_;
-    bool calibrated_ = false;
+    /** Atomic: swapScreener() sets it while forward() may read it. */
+    std::atomic<bool> calibrated_{false};
     Cycles last_cycles_ = 0;
 };
 

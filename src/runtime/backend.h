@@ -24,12 +24,14 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "enmc/task.h"
 #include "nmp/cpu.h"
 #include "nmp/engine.h"
+#include "runtime/api.h"
 #include "runtime/system.h"
 
 namespace enmc::runtime {
@@ -37,11 +39,16 @@ namespace enmc::runtime {
 /** What a backend can do (capability negotiation for callers). */
 struct BackendCapabilities
 {
-    /** Cycle-level (or analytic) timing of a rank slice. */
-    bool timing = true;
     /** Bit-accurate functional slices (tensor payloads honoured). */
     bool functional = false;
     std::string description;
+};
+
+/** One dispatched batch: the route that served it and its timing. */
+struct BatchRun
+{
+    std::string route;       //!< recorded on every response of the batch
+    TimingResult timing;
 };
 
 /** One execution target behind the uniform device interface. */
@@ -72,6 +79,27 @@ class Backend
      * backends with their own extrapolation override this.
      */
     virtual TimingResult runJob(const JobSpec &spec) const;
+
+    /**
+     * Route and time one dispatched batch. The serve loop calls this
+     * exactly once per dispatched batch, in replay and live mode alike,
+     * so both modes see the same routing sequence for the same batch
+     * sequence. The default serves every batch here: {name(), runJob}.
+     * Meta-backends override it to pick the route (the planner) or to
+     * route before timing (the cluster, whose routing may kill a node
+     * and so re-time this very batch).
+     */
+    virtual BatchRun runBatch(const JobSpec &spec, double now_us);
+
+    /**
+     * Functional forward of a batch served by this backend. The default
+     * is `clf.forward`: the classifier computes the logits itself, so
+     * every single-system backend — and the planner, which routes timing
+     * only — is bit-identical by construction.
+     */
+    virtual std::vector<ClassifierOutput>
+    forward(EnmcClassifier &clf, const std::vector<tensor::Vector> &h_batch,
+            size_t k);
 
     const SystemConfig &config() const { return cfg_; }
 
@@ -137,6 +165,33 @@ class CpuBackend : public Backend
 
     bool screening_;
     nmp::CpuConfig cpu_;
+};
+
+/**
+ * Timing memo in front of a deterministic backend: `runJob` runs the
+ * inner backend once per distinct `JobSpec` and serves repeats from a
+ * map, so replay costs O(distinct shapes) simulations. Wrap leaf
+ * backends (the serve loop's fixed backend, a planner candidate, a
+ * cluster node), never a meta-backend: memoizing the planner would
+ * freeze its first decision per shape, and the cluster's time depends
+ * on node health. Everything else delegates.
+ */
+class MemoizedBackend : public Backend
+{
+  public:
+    explicit MemoizedBackend(std::unique_ptr<Backend> inner);
+
+    std::string name() const override { return inner_->name(); }
+    BackendCapabilities capabilities() const override;
+    arch::RankResult runSlice(const arch::RankTask &task) const override;
+    arch::RankResult
+    runFunctionalSlice(const arch::RankTask &task) const override;
+    TimingResult runJob(const JobSpec &spec) const override;
+
+  private:
+    std::unique_ptr<Backend> inner_;
+    mutable std::mutex mutex_;
+    mutable std::map<JobSpec, TimingResult> memo_;
 };
 
 /** Builds a backend against a system configuration. */

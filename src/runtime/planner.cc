@@ -381,7 +381,8 @@ AutoBackend::AutoBackend(const SystemConfig &cfg, PlannerConfig plan)
                    "' did not resolve against the registry (resolved "
                    "candidates: ", join(resolved), ")");
     for (const auto &name : resolved)
-        backends_.push_back(registry.create(name, cfg));
+        backends_.push_back(
+            std::make_unique<MemoizedBackend>(registry.create(name, cfg)));
     plan.candidates = resolved;
     planner_ = std::make_unique<OffloadPlanner>(plan, std::move(resolved));
 }
@@ -420,19 +421,7 @@ AutoBackend::runPlanned(const JobSpec &spec) const
     const PlanBin bin = OffloadPlanner::binFor(spec);
     const OffloadPlanner::Decision d = planner_->plan(bin);
 
-    TimingResult timing;
-    {
-        std::lock_guard<std::mutex> lock(memo_mutex_);
-        const MemoKey key{d.backend,       spec.batch,
-                          spec.candidates, spec.categories,
-                          spec.hidden,     spec.reduced,
-                          static_cast<uint8_t>(spec.quant), spec.sigmoid};
-        auto it = memo_.find(key);
-        if (it == memo_.end())
-            it = memo_.emplace(key, candidate(d.backend).runJob(spec))
-                     .first;
-        timing = it->second;
-    }
+    const TimingResult timing = candidate(d.backend).runJob(spec);
     planner_->observe(bin, d.backend, timing.seconds * 1e6);
     return {timing, planner_->names()[d.backend], d.kind};
 }
@@ -441,6 +430,13 @@ TimingResult
 AutoBackend::runJob(const JobSpec &spec) const
 {
     return runPlanned(spec).timing;
+}
+
+BatchRun
+AutoBackend::runBatch(const JobSpec &spec, double /*now_us*/)
+{
+    PlannedRun run = runPlanned(spec);
+    return {std::move(run.backend), run.timing};
 }
 
 } // namespace enmc::runtime

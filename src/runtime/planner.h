@@ -223,11 +223,12 @@ class OffloadPlanner
 
 /**
  * The `"auto"` registry backend: a planner in front of real candidate
- * backends. `runJob` plans per call, routes to the chosen backend
- * (memoizing each candidate's deterministic timing per job shape) and
- * feeds the observed latency back. Construction fails loudly — listing
- * the candidate set — when fewer than two candidates resolve against the
- * registry; a silent single-backend planner would defeat the point.
+ * backends. `runJob` plans per call, routes to the chosen backend (each
+ * candidate is a `MemoizedBackend`, so a probe simulates once per job
+ * shape) and feeds the observed latency back. Construction fails loudly
+ * — listing the candidate set — when fewer than two candidates resolve
+ * against the registry; a silent single-backend planner would defeat
+ * the point.
  */
 class AutoBackend : public Backend
 {
@@ -250,6 +251,9 @@ class AutoBackend : public Backend
     };
     PlannedRun runPlanned(const JobSpec &spec) const;
 
+    /** One plan per dispatched batch; the route is the planner's pick. */
+    BatchRun runBatch(const JobSpec &spec, double now_us) override;
+
     OffloadPlanner &planner() const { return *planner_; }
 
   private:
@@ -259,12 +263,6 @@ class AutoBackend : public Backend
     // The planner adapts across const runJob calls (logically the
     // backend's routing state, not its configuration).
     std::unique_ptr<OffloadPlanner> planner_;
-    mutable std::mutex memo_mutex_;
-    // Candidate timings are deterministic in (backend, job shape), so
-    // each probe is simulated once per shape.
-    using MemoKey = std::tuple<size_t, uint64_t, uint64_t, uint64_t,
-                               uint64_t, uint64_t, uint8_t, bool>;
-    mutable std::map<MemoKey, TimingResult> memo_;
 };
 
 } // namespace enmc::runtime

@@ -15,6 +15,7 @@
 #ifndef ENMC_RUNTIME_SYSTEM_H
 #define ENMC_RUNTIME_SYSTEM_H
 
+#include <compare>
 #include <cstdint>
 #include <vector>
 
@@ -81,6 +82,8 @@ struct JobSpec
     uint64_t batch = 1;
     uint64_t candidates = 0;       //!< total candidate budget (whole l)
     bool sigmoid = false;
+
+    friend auto operator<=>(const JobSpec &, const JobSpec &) = default;
 };
 
 /** Timing + traffic outcome of one job. */

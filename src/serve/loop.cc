@@ -6,8 +6,10 @@
 #include <queue>
 #include <tuple>
 
+#include "cluster/backend.h"
 #include "common/logging.h"
 #include "obs/trace.h"
+#include "runtime/planner.h"
 #include "tensor/tune.h"
 
 namespace enmc::serve {
@@ -19,6 +21,27 @@ validated(const ServeConfig &cfg)
 {
     validate(cfg);
     return cfg;
+}
+
+/**
+ * The backend `cfg.backend` names: `"cluster"` builds the sharded fabric
+ * from `cfg.cluster` (with `sys` as every node's local system), `"auto"`
+ * the adaptive planner from `cfg.planner`; any other name resolves
+ * through the registry, behind the timing memo.
+ */
+std::unique_ptr<runtime::Backend>
+makeBackend(const ServeConfig &cfg, const runtime::JobSpec &job,
+            const runtime::SystemConfig &sys)
+{
+    if (cfg.backend == "cluster") {
+        cluster::ClusterConfig cc = cfg.cluster;
+        cc.node = sys;
+        return std::make_unique<cluster::ClusterBackend>(cc, job);
+    }
+    if (cfg.backend == "auto")
+        return std::make_unique<runtime::AutoBackend>(sys, cfg.planner);
+    return std::make_unique<runtime::MemoizedBackend>(
+        runtime::createBackend(cfg.backend, sys));
 }
 
 } // namespace
@@ -51,7 +74,7 @@ ServeLoop::ServeLoop(const ServeConfig &cfg, const runtime::JobSpec &job,
                      const runtime::SystemConfig &sys)
     : cfg_(validated(cfg)),
       job_(job),
-      dispatcher_(makeDispatcher(cfg_, job, sys)),
+      backend_(makeBackend(cfg_, job, sys)),
       queue_(cfg.queue_capacity),
       batcher_(cfg.max_batch, cfg.max_delay_us),
       stats_("serve.loop"),
@@ -108,21 +131,67 @@ ServeLoop::attachClassifier(runtime::EnmcClassifier &clf)
                 "serve: attach a calibrated classifier (call calibrate() "
                 "or load() first)");
     classifier_ = &clf;
-    dispatcher_->attachClassifier(clf);
+}
+
+cluster::ClusterRouter *
+ServeLoop::clusterRouter()
+{
+    auto *fabric = dynamic_cast<cluster::ClusterBackend *>(backend_.get());
+    return fabric != nullptr ? &fabric->router() : nullptr;
+}
+
+runtime::OffloadPlanner *
+ServeLoop::planner()
+{
+    auto *planned = dynamic_cast<runtime::AutoBackend *>(backend_.get());
+    return planned != nullptr ? &planned->planner() : nullptr;
+}
+
+runtime::JobSpec
+ServeLoop::batchJob(uint64_t batch, uint64_t candidates) const
+{
+    runtime::JobSpec spec = job_;
+    spec.batch = batch;
+    spec.candidates = candidates;
+    return spec;
+}
+
+double
+ServeLoop::serviceUs(const runtime::TimingResult &t, uint64_t batch,
+                     uint64_t screened) const
+{
+    const double full_us = t.seconds * 1e6;
+    // s == batch (the only value with the cache off) returns the full
+    // time bitwise: no arithmetic at all.
+    if (screened >= batch || batch == 0)
+        return cfg_.handoff_us + full_us;
+    // Bypasses skip the screener but still read exact executor rows, so
+    // only the screener-busy share of the skipped items comes off. It is
+    // zero for timings without a screener stage (the CPU roofline, the
+    // cluster aggregate): those deduct nothing, conservatively.
+    const double freq_hz = backend_->config().timing.freq_hz;
+    const double screen_us =
+        freq_hz > 0.0
+            ? static_cast<double>(t.rank.screener_busy) / freq_hz * 1e6
+            : 0.0;
+    const double skipped = static_cast<double>(batch - screened) /
+                           static_cast<double>(batch);
+    const double us = full_us - screen_us * skipped;
+    return cfg_.handoff_us + (us > 0.0 ? us : 0.0);
 }
 
 double
 ServeLoop::batchServiceUs(uint64_t batch, uint64_t candidates)
 {
-    return cfg_.handoff_us + dispatcher_->serviceUs(batch, candidates);
+    return batchServiceUs(batch, candidates, batch);
 }
 
 double
 ServeLoop::batchServiceUs(uint64_t batch, uint64_t candidates,
                           uint64_t screened)
 {
-    return cfg_.handoff_us +
-           dispatcher_->serviceUs(batch, candidates, screened);
+    return serviceUs(backend_->runJob(batchJob(batch, candidates)), batch,
+                     screened);
 }
 
 void
@@ -183,7 +252,7 @@ ServeLoop::computeBatch(const std::vector<const Request *> &reqs,
     if (h_batch.empty())
         return 0;
     std::vector<runtime::ClassifierOutput> outs =
-        dispatcher_->forward(h_batch, cfg_.topk);
+        backend_->forward(*classifier_, h_batch, cfg_.topk);
     ENMC_ASSERT(outs.size() == with_hidden.size(),
                 "serve: classifier returned a short batch");
     size_t hits = 0;
@@ -214,17 +283,15 @@ ServeLoop::tenantStats(const std::string &tenant)
 void
 ServeLoop::account(const Response &r)
 {
-    TenantStats *tenant = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(tenants_mutex_);
-        auto it = tenants_.find(r.tenant);
-        if (it == tenants_.end())
-            it = tenants_
-                     .emplace(r.tenant,
-                              std::make_unique<TenantStats>(r.tenant))
-                     .first;
-        tenant = it->second.get();
-    }
+    // Live producers (rejections) and the executor both finalize
+    // responses; one lock keeps the loop and tenant stats exact.
+    std::lock_guard<std::mutex> lock(tenants_mutex_);
+    auto it = tenants_.find(r.tenant);
+    if (it == tenants_.end())
+        it = tenants_
+                 .emplace(r.tenant, std::make_unique<TenantStats>(r.tenant))
+                 .first;
+    TenantStats *tenant = it->second.get();
 
     ++stat_requests_;
     ++tenant->requests;
@@ -383,10 +450,10 @@ ServeLoop::runVirtual(
             resps.push_back(&rstore[idx]);
         }
         inflight_cands = batchCandidates(reqs);
-        // Route before timing: a health transition this dispatch causes
-        // (scripted kill, failover) must re-time this very batch.
-        const std::string route =
-            dispatcher_->routeBatch(batch, inflight_cands, now);
+        // One route + timing per dispatched batch (the cluster routes
+        // before it times, so a kill this dispatch fires re-times it).
+        const runtime::BatchRun run =
+            backend_->runBatch(batchJob(batch, inflight_cands), now);
         // A scheduled hot-swap fires here, between batches: the swap
         // point is a deterministic function of the dispatch sequence.
         fireScheduledSwap();
@@ -398,13 +465,12 @@ ServeLoop::runVirtual(
         // run; the slice simulation inside parallelizes (and merges in
         // slice order).
         const size_t hits = computeBatch(reqs, resps);
-        const double service =
-            batchServiceUs(batch, inflight_cands,
-                           batch - std::min<size_t>(hits, batch));
+        const double service = serviceUs(
+            run.timing, batch, batch - std::min<size_t>(hits, batch));
         for (size_t idx : inflight) {
             rstore[idx].dispatch_us = now;
             rstore[idx].batch_size = static_cast<uint32_t>(batch);
-            rstore[idx].backend = route;
+            rstore[idx].backend = run.route;
             rstore[idx].warmup = dispatched < cfg_.warmup_requests;
             ++dispatched;
         }
@@ -713,10 +779,12 @@ ServeLoop::executorLoop()
             obs::TraceSpan span("batch.execute", "serve");
             span.arg("size", static_cast<double>(batch));
             span.arg("candidates", static_cast<double>(prepared->candidates));
-            const std::string route = dispatcher_->routeBatch(
-                batch, prepared->candidates, dispatch_us);
+            // Live serving reports wall-clock times; the batch's modeled
+            // timing is computed (memoized) but unused here.
+            const runtime::BatchRun run = backend_->runBatch(
+                batchJob(batch, prepared->candidates), dispatch_us);
             for (size_t i = 0; i < batch; ++i)
-                resps[i].backend = route;
+                resps[i].backend = run.route;
             // Scheduled hot-swaps fire between batches on this thread,
             // never mid-batch; cache hits skip screening work for real
             // here, so the speedup is wall-clock, not modeled.

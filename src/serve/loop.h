@@ -8,7 +8,7 @@
  * fixed trace (or are generated closed-loop), admission is decided
  * against the modeled queue occupancy, batches are cut by the
  * `DynamicBatcher` policy, and each batch's service time is
- * `handoff_us + backend.runJob(batch)` in the backend's simulated clock
+ * `handoff_us + backend.runBatch(batch)` in the backend's simulated clock
  * domain. Everything is a pure function of (trace, config): latencies,
  * admission decisions and batch compositions are bit-identical for every
  * `ENMC_THREADS`. Functional outputs are computed per batch in flush
@@ -25,6 +25,11 @@
  * bit-identical per query to their single-query forms), so live results
  * match replay results request for request even though wall-clock batch
  * boundaries are not reproducible.
+ *
+ * Every `ServeConfig::backend` — a registry backend, `"auto"` or
+ * `"cluster"` — is one `runtime::Backend` the loop calls once per
+ * dispatched batch in both modes (`runBatch`: route + timing) and for the
+ * functional compute (`forward`).
  */
 
 #ifndef ENMC_SERVE_LOOP_H
@@ -41,13 +46,17 @@
 #include "common/stats.h"
 #include "obs/registry.h"
 #include "runtime/api.h"
+#include "runtime/backend.h"
 #include "runtime/system.h"
 #include "serve/batcher.h"
 #include "serve/config.h"
-#include "serve/dispatch.h"
 #include "serve/queue.h"
 #include "serve/report.h"
 #include "serve/request.h"
+
+namespace enmc::cluster {
+class ClusterRouter;
+}
 
 namespace enmc::serve {
 
@@ -108,17 +117,18 @@ class ServeLoop
 
     /**
      * Simulated service time (us) of a batch: per-offload handoff plus
-     * the dispatcher's batched service latency. Deterministic given the
-     * dispatch history (a single backend memoizes on (batch, candidates);
-     * the cluster re-times after every health transition).
+     * the backend's `runJob` time. A standalone timing query: it routes
+     * nothing (the cluster's batch count and scripted kill do not move),
+     * though the planner does plan it. Deterministic given the dispatch
+     * history (the cluster re-times after every health transition).
      */
     double batchServiceUs(uint64_t batch, uint64_t candidates);
 
     /**
      * Cache-aware variant: `screened` of the batch's items ran full
      * screening; the rest were candidate-cache bypasses whose screener
-     * share the dispatcher deducts. `screened == batch` is bit-identical
-     * to the two-argument form.
+     * share comes off the time. `screened == batch` is bit-identical to
+     * the two-argument form.
      */
     double batchServiceUs(uint64_t batch, uint64_t candidates,
                           uint64_t screened);
@@ -142,14 +152,10 @@ class ServeLoop
     RequestQueue &queue() { return queue_; }
     DynamicBatcher &batcher() { return batcher_; }
     StatGroup &stats() { return stats_; }
-    Dispatcher &dispatcher() { return *dispatcher_; }
     /** The cluster fabric batches route through; nullptr off-cluster. */
-    cluster::ClusterRouter *clusterRouter()
-    {
-        return dispatcher_->router();
-    }
+    cluster::ClusterRouter *clusterRouter();
     /** The offload planner batches route through; nullptr off-auto. */
-    runtime::OffloadPlanner *planner() { return dispatcher_->planner(); }
+    runtime::OffloadPlanner *planner();
 
   private:
     struct PreparedBatch
@@ -180,6 +186,16 @@ class ServeLoop
     size_t computeBatch(const std::vector<const Request *> &reqs,
                         std::vector<Response *> &resps);
 
+    /** `job_` at one batch's size and candidate budget. */
+    runtime::JobSpec batchJob(uint64_t batch, uint64_t candidates) const;
+
+    /**
+     * Handoff plus `t` less the screener-busy share of the batch's
+     * `batch - screened` candidate-cache bypasses.
+     */
+    double serviceUs(const runtime::TimingResult &t, uint64_t batch,
+                     uint64_t screened) const;
+
     /** Fire a due scheduled swap, then count this batch as dispatched. */
     void fireScheduledSwap();
 
@@ -193,7 +209,7 @@ class ServeLoop
 
     ServeConfig cfg_;
     runtime::JobSpec job_;
-    std::unique_ptr<Dispatcher> dispatcher_;
+    std::unique_ptr<runtime::Backend> backend_;
     runtime::EnmcClassifier *classifier_ = nullptr;
 
     RequestQueue queue_;

@@ -10,14 +10,21 @@
  *    never the answer — every admitted response matches the single-query
  *    reference forward;
  *  - a scripted mid-run node kill is survived with zero wrong answers,
- *    zero dispatches to the dead node, and a still-deterministic replay.
+ *    zero dispatches to the dead node, and a still-deterministic replay;
+ *  - standalone timing queries never route, so they cannot move the kill;
+ *  - a screener hot-swap (scheduled, or a concurrent `refresh()`) serves
+ *    every batch under one snapshot whose epoch each response carries.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "cluster/router.h"
@@ -103,6 +110,22 @@ class ClusterServingTest : public ::testing::Test
         }
         t.normalize();
         return t;
+    }
+
+    /** Assert `resp` equals `ref`'s single-query forward bitwise. */
+    void
+    expectMatches(const Response &resp, runtime::EnmcClassifier &ref,
+                  const tensor::Vector &h) const
+    {
+        const auto expect = ref.forward({h}, 5);
+        ASSERT_EQ(resp.probabilities.size(), expect[0].probabilities.size());
+        ASSERT_EQ(std::memcmp(resp.probabilities.data(),
+                              expect[0].probabilities.data(),
+                              expect[0].probabilities.size() * sizeof(float)),
+                  0)
+            << "request " << resp.id << " (epoch " << resp.snapshot_epoch
+            << ") differs from its epoch's reference";
+        ASSERT_EQ(resp.topk, expect[0].topk);
     }
 
     static void
@@ -316,6 +339,130 @@ TEST_F(ClusterServingTest, LiveModeClusterMatchesReference)
                   0)
             << "live cluster logits differ from reference, request " << i;
         ASSERT_EQ(responses[i].topk, ref[0].topk);
+    }
+}
+
+TEST_F(ClusterServingTest, StandaloneTimingNeitherRoutesNorMovesTheKill)
+{
+    // batchServiceUs is a timing query: K calls before the replay must
+    // leave the router untouched, so the scripted kill still fires when
+    // the replay routes its batch N. Under least-loaded routing node 1
+    // serves exactly one shard per batch until it dies.
+    constexpr uint64_t kKillAfter = 2;
+    auto clf = makeClassifier(4);
+    ServeConfig cfg = clusterConfig(4, 2);
+    cfg.cluster.kill.node = 1;
+    cfg.cluster.kill.after_batches = kKillAfter;
+    ServeLoop loop(cfg, job());
+    loop.attachClassifier(*clf);
+    cluster::ClusterRouter *router = loop.clusterRouter();
+    ASSERT_NE(router, nullptr);
+
+    const double first = loop.batchServiceUs(8, 512);
+    for (int k = 0; k < 5; ++k)
+        EXPECT_DOUBLE_EQ(loop.batchServiceUs(8, 512), first);
+    EXPECT_EQ(router->stats().counter("routedBatches").value(), 0u);
+    EXPECT_EQ(router->liveNodeCount(), 4u);
+
+    const ServeReport report = loop.replay(trace());
+    std::set<double> batches;
+    for (const Response &resp : report.responses)
+        batches.insert(resp.dispatch_us);
+    ASSERT_GT(batches.size(), kKillAfter);
+    EXPECT_EQ(router->stats().counter("routedBatches").value(),
+              batches.size());
+    EXPECT_FALSE(router->node(1).alive());
+    EXPECT_EQ(router->node(1).stats().counter("dispatchedBatches").value(),
+              kKillAfter);
+}
+
+TEST_F(ClusterServingTest, ReplaySwapStampsTheNewEpochAfterTheSwapPoint)
+{
+    auto clf = makeClassifier(4);
+    ServeLoop loop(clusterConfig(4, 2), job());
+    loop.attachClassifier(*clf);
+    loop.scheduleSwap(1, [&] { clf->refresh(train_, val_); });
+    const ServeReport report = loop.replay(trace());
+    ASSERT_EQ(report.responses.size(), queries_.size());
+
+    std::set<double> batches;
+    for (const Response &resp : report.responses)
+        batches.insert(resp.dispatch_us);
+    ASSERT_GE(batches.size(), 2u);
+    const double first_batch = *batches.begin();
+    for (const Response &resp : report.responses)
+        EXPECT_EQ(resp.snapshot_epoch,
+                  resp.dispatch_us == first_batch ? 1u : 2u)
+            << "request " << resp.id;
+
+    auto twin = makeClassifier(4);
+    for (const Response &resp : report.responses)
+        if (resp.snapshot_epoch == 1)
+            expectMatches(resp, *twin, queries_[resp.id]);
+    ASSERT_EQ(twin->refresh(train_, val_), 2u);
+    for (const Response &resp : report.responses)
+        if (resp.snapshot_epoch == 2)
+            expectMatches(resp, *twin, queries_[resp.id]);
+}
+
+TEST_F(ClusterServingTest, LiveServingUnderConcurrentRefreshMatchesEpochTwins)
+{
+    // A control thread refreshes the screener while the live cluster
+    // loop serves. Each batch must hold one snapshot for all its shards:
+    // every response carries a real epoch (>= 1), epochs never go back
+    // in dispatch order, and every answer equals the forward of a twin
+    // classifier refreshed to the same epoch.
+    constexpr uint64_t kRefreshes = 3;
+    auto clf = makeClassifier(4);
+    ServeConfig cfg = clusterConfig(4, 2);
+    cfg.queue_capacity = 128;
+    ServeLoop loop(cfg, job());
+    loop.attachClassifier(*clf);
+    loop.start();
+
+    std::atomic<bool> refreshed{false};
+    std::thread control([&] {
+        for (uint64_t i = 0; i < kRefreshes; ++i)
+            clf->refresh(train_, val_);
+        refreshed.store(true);
+    });
+    std::vector<Response> responses;
+    RequestId next = 0;
+    while (!refreshed.load() || responses.size() < queries_.size()) {
+        std::vector<std::future<Response>> round;
+        for (const tensor::Vector &h : queries_) {
+            Request r;
+            r.id = next++;
+            r.hidden = h;
+            round.push_back(loop.submitOrdered(std::move(r)));
+        }
+        for (auto &f : round)
+            responses.push_back(f.get());
+    }
+    control.join();
+    loop.stop();
+
+    std::sort(responses.begin(), responses.end(),
+              [](const Response &a, const Response &b) {
+                  return a.dispatch_us < b.dispatch_us;
+              });
+    uint64_t last = 1;
+    for (const Response &resp : responses) {
+        ASSERT_EQ(resp.admission, Admission::Admitted);
+        ASSERT_GE(resp.snapshot_epoch, last) << "request " << resp.id;
+        ASSERT_LE(resp.snapshot_epoch, 1 + kRefreshes);
+        last = resp.snapshot_epoch;
+    }
+
+    auto twin = makeClassifier(4);
+    for (uint64_t epoch = 1;; ++epoch) {
+        for (const Response &resp : responses)
+            if (resp.snapshot_epoch == epoch)
+                expectMatches(resp, *twin,
+                              queries_[resp.id % queries_.size()]);
+        if (epoch == 1 + kRefreshes)
+            break;
+        ASSERT_EQ(twin->refresh(train_, val_), epoch + 1);
     }
 }
 

@@ -3,17 +3,21 @@
  * Tests for the cluster fabric's building blocks: the shard map
  * (RankPartitioner at node granularity, including degenerate shapes),
  * chained-declustering replica placement, the NodeBackend health state
- * machine, least-loaded routing, scripted kills + failover, and the
- * epoch-keyed service-time model.
+ * machine, least-loaded routing, scripted kills + failover, the
+ * health-aware service-time model, the paper's Section 8 scale-out
+ * behaviour through that model, and the cluster backend.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 
 #include "cluster/backend.h"
 #include "cluster/router.h"
 #include "runtime/node_backend.h"
+#include "screening/trainer.h"
+#include "workloads/synthetic.h"
 
 namespace enmc::cluster {
 namespace {
@@ -295,21 +299,159 @@ TEST(Router, ServiceTimeRetimesAfterAKill)
     EXPECT_GT(after, before);
 }
 
-// --- the "cluster" registry backend -------------------------------------
+// --- scale-out (paper Section 8) through the router --------------------
 
-TEST(ClusterBackend, RegistersAndTimesJobs)
+/** A global sigmoid problem at 1 item per batch (Section 8's shape). */
+runtime::JobSpec
+globalJob(uint64_t l)
 {
-    registerClusterBackend();
-    ASSERT_TRUE(runtime::BackendRegistry::instance().contains("cluster"));
-    auto backend = runtime::createBackend("cluster");
-    EXPECT_EQ(backend->name(), "cluster");
-    EXPECT_FALSE(backend->capabilities().functional);
+    runtime::JobSpec spec;
+    spec.categories = l;
+    spec.hidden = 512;
+    spec.reduced = 128;
+    spec.candidates = l / 2500;
+    spec.sigmoid = true;
+    return spec;
+}
+
+/** Unreplicated, handoff-free fabric: only the network model remains. */
+double
+scaleOutUs(const runtime::JobSpec &spec, uint64_t nodes,
+           const NetworkConfig &net = NetworkConfig{})
+{
+    ClusterConfig cfg = config(nodes, 1);
+    cfg.node_handoff_us = 0.0;
+    cfg.network = net;
+    return ClusterRouter(cfg, spec).serviceUs(spec.batch, spec.candidates);
+}
+
+TEST(ScaleOut, SingleNodeHasNoNetworkCost)
+{
+    // One node scatters and gathers nothing: even a very slow network
+    // must leave its service time untouched.
+    NetworkConfig slow;
+    slow.bandwidth = 1e6;
+    slow.latency = 1e-3;
+    const runtime::JobSpec spec = globalJob(10'000'000);
+    const double fast_us = scaleOutUs(spec, 1);
+    EXPECT_GT(fast_us, 0.0);
+    EXPECT_DOUBLE_EQ(scaleOutUs(spec, 1, slow), fast_us);
+}
+
+TEST(ScaleOut, SpeedupSaturatesWhenNetworkDominates)
+{
+    // A small problem: node work shrinks below the fixed network cost.
+    const runtime::JobSpec small = globalJob(200'000);
+    const double solo = scaleOutUs(small, 1);
+    double prev = 1e12;
+    for (uint64_t n : {2ull, 8ull, 32ull}) {
+        const double us = scaleOutUs(small, n);
+        EXPECT_LE(us, prev * 2.0) << n << " nodes"; // never catastrophic
+        prev = us;
+    }
+    // Parallel efficiency decays at this size.
+    EXPECT_LT(solo / (scaleOutUs(small, 32) * 32), 0.8);
+}
+
+TEST(ScaleOut, SlowNetworkHurtsTotal)
+{
+    NetworkConfig slow;
+    slow.bandwidth = 1e9; // 8 Gb/s
+    slow.latency = 100e-6;
+    const runtime::JobSpec spec = globalJob(1'000'000);
+    EXPECT_GT(scaleOutUs(spec, 8, slow), scaleOutUs(spec, 8));
+}
+
+class RouterFunctional : public ::testing::Test
+{
+  protected:
+    RouterFunctional() : model_(makeConfig())
+    {
+        screening::ScreenerConfig cfg;
+        cfg.categories = 2048;
+        cfg.hidden = 64;
+        cfg.selection = screening::SelectionMode::Threshold;
+        Rng rng(3);
+        screener_ = std::make_unique<screening::Screener>(cfg, rng);
+        Rng data = model_.makeRng(1);
+        auto train = model_.sampleHiddenBatch(data, 128);
+        screening::Trainer trainer(model_.classifier(), *screener_,
+                                   screening::TrainerConfig{});
+        trainer.train(train, {});
+        screener_->freezeQuantized();
+        const float cut = screening::tuneThreshold(*screener_, train, 48);
+        screener_->setSelection(screening::SelectionMode::Threshold, 48,
+                                cut);
+        h_batch_ = model_.sampleHiddenBatch(data, 2);
+    }
+
+    static workloads::SyntheticConfig
+    makeConfig()
+    {
+        workloads::SyntheticConfig cfg;
+        cfg.categories = 2048;
+        cfg.hidden = 64;
+        return cfg;
+    }
+
+    std::vector<runtime::ClassifierOutput>
+    forward(uint64_t nodes)
+    {
+        ClusterRouter router(config(nodes, 1), job(2048));
+        return router.computeBatch(model_.classifier(), *screener_,
+                                   h_batch_, 10, 2);
+    }
+
+    workloads::SyntheticModel model_;
+    std::unique_ptr<screening::Screener> screener_;
+    std::vector<tensor::Vector> h_batch_;
+};
+
+/** Node partitioning must be numerically transparent. */
+class NodeCount : public RouterFunctional,
+                  public ::testing::WithParamInterface<uint64_t>
+{
+};
+
+TEST_P(NodeCount, MergeEqualsSingleNode)
+{
+    const auto solo = forward(1);
+    const auto multi = forward(GetParam());
+    ASSERT_EQ(multi.size(), h_batch_.size());
+    for (size_t item = 0; item < h_batch_.size(); ++item) {
+        ASSERT_EQ(multi[item].probabilities.size(), 2048u);
+        EXPECT_EQ(std::memcmp(multi[item].probabilities.data(),
+                              solo[item].probabilities.data(),
+                              2048 * sizeof(float)),
+                  0)
+            << "item " << item;
+        EXPECT_EQ(multi[item].topk, solo[item].topk);
+        EXPECT_EQ(multi[item].candidates, solo[item].candidates);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Nodes, NodeCount, ::testing::Values(2, 3, 8));
+
+// --- the cluster backend ------------------------------------------------
+
+TEST(ClusterBackend, TimesWithoutRoutingAndRoutesPerBatch)
+{
+    ClusterBackend backend(config(4, 2), job());
+    EXPECT_EQ(backend.name(), "cluster(4xenmc)");
+    EXPECT_FALSE(backend.capabilities().functional);
     runtime::JobSpec spec = job();
     spec.batch = 8;
     spec.candidates = 64;
-    const runtime::TimingResult r = backend->runJob(spec);
+    const runtime::TimingResult r = backend.runJob(spec);
     EXPECT_GT(r.seconds, 0.0);
     EXPECT_GT(r.ranks, 0u);
+    EXPECT_EQ(backend.router().stats().counter("routedBatches").value(), 0u)
+        << "a timing query must not route";
+
+    const runtime::BatchRun run = backend.runBatch(spec, 0.0);
+    EXPECT_EQ(run.route, backend.name());
+    EXPECT_DOUBLE_EQ(run.timing.seconds, r.seconds);
+    EXPECT_EQ(backend.router().stats().counter("routedBatches").value(), 1u);
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * Tests for the execution-backend layer: registry lookup, capability
  * reporting, run-to-run determinism of every registered backend, the
- * single shared task layout, and bit-identical thread-pooled functional
- * execution.
+ * timing memo, the single shared task layout, and bit-identical
+ * thread-pooled functional execution.
  */
 
 #include <gtest/gtest.h>
@@ -53,7 +53,6 @@ TEST(BackendRegistry, CreatesEveryRegisteredBackend)
         const auto backend = createBackend(name);
         ASSERT_NE(backend, nullptr);
         EXPECT_EQ(backend->name(), name);
-        EXPECT_TRUE(backend->capabilities().timing);
         EXPECT_FALSE(backend->capabilities().description.empty());
     }
 }
@@ -142,11 +141,7 @@ TEST(BackendDeterminism, EveryBackendRepeatsTimingExactly)
         EXPECT_EQ(a.rank.exec_bytes, b.rank.exec_bytes) << name;
         EXPECT_EQ(a.rank.dram_reads, b.rank.dram_reads) << name;
         EXPECT_DOUBLE_EQ(a.seconds, b.seconds) << name;
-        if (name != "cluster") {
-            // The cluster aggregate times whole nodes; it has no
-            // single-rank cycle count by design.
-            EXPECT_GT(a.rank_cycles, 0u) << name;
-        }
+        EXPECT_GT(a.rank_cycles, 0u) << name;
     }
 }
 
@@ -158,6 +153,38 @@ TEST(BackendDeterminism, FreshInstanceMatchesReusedInstance)
         const Cycles second = createBackend(name)->runJob(spec).rank_cycles;
         EXPECT_EQ(first, second) << name;
     }
+}
+
+TEST(MemoizedBackend, SimulatesEachJobOnceAndDelegatesTheRest)
+{
+    // A backend that counts its timing runs, behind the memo.
+    struct Counting : EnmcBackend
+    {
+        using EnmcBackend::EnmcBackend;
+        TimingResult runJob(const JobSpec &spec) const override
+        {
+            ++runs;
+            return EnmcBackend::runJob(spec);
+        }
+        mutable int runs = 0;
+    };
+    auto inner = std::make_unique<Counting>(SystemConfig{});
+    const Counting &counting = *inner;
+    MemoizedBackend memo(std::move(inner));
+    EXPECT_EQ(memo.name(), "enmc");
+    EXPECT_TRUE(memo.capabilities().functional);
+
+    const JobSpec a = smallJob();
+    JobSpec b = a;
+    b.candidates += 1; // any field of the spec is part of the key
+    const TimingResult first = memo.runJob(a);
+    EXPECT_EQ(memo.runJob(a).rank_cycles, first.rank_cycles);
+    EXPECT_EQ(memo.runBatch(a, 0.0).route, "enmc");
+    EXPECT_EQ(counting.runs, 1);
+    memo.runJob(b);
+    EXPECT_EQ(counting.runs, 2);
+    EXPECT_EQ(first.rank_cycles, EnmcBackend(SystemConfig{}).runJob(a)
+                                     .rank_cycles);
 }
 
 TEST(BackendDeterminism, BackendsRankRelativeToEachOther)

@@ -322,5 +322,29 @@ TEST_F(PlannerSoakTest, LivePipelineServesCorrectAnswersUnderThePlanner)
     EXPECT_EQ(planner->stats().counter("deadDispatches").value(), 0u);
 }
 
+TEST_F(PlannerSoakTest, StandaloneTimingAfterALiveBatchPlansOnce)
+{
+    // A live batch plans once when it is dispatched. A later standalone
+    // timing query of the same shape is a planned dispatch of its own;
+    // nothing the live batch did may stand in for it.
+    auto clf = makeClassifier(4);
+    ServeLoop loop(autoConfig(), job());
+    loop.attachClassifier(*clf);
+    loop.start();
+    Request r;
+    r.id = 0;
+    r.hidden = queries_[0];
+    const Response resp = loop.submitOrdered(std::move(r)).get();
+    loop.stop();
+    ASSERT_EQ(resp.batch_size, 1u);
+
+    runtime::OffloadPlanner *planner = loop.planner();
+    ASSERT_NE(planner, nullptr);
+    const uint64_t before = planner->planCount();
+    EXPECT_EQ(before, 1u);
+    loop.batchServiceUs(1, job().candidates);
+    EXPECT_EQ(planner->planCount(), before + 1);
+}
+
 } // namespace
 } // namespace enmc::serve
