@@ -17,26 +17,6 @@ ClusterBackend::name() const
            router_.config().node_backend + ")";
 }
 
-runtime::BackendCapabilities
-ClusterBackend::capabilities() const
-{
-    const ClusterConfig &cfg = router_.config();
-    runtime::BackendCapabilities caps;
-    caps.functional = false; // functional batches go through forward()
-    caps.description = std::to_string(cfg.nodes) +
-                       "-node sharded ENMC cluster (replication " +
-                       std::to_string(cfg.replication) + ", " +
-                       cfg.node_backend + " nodes)";
-    return caps;
-}
-
-arch::RankResult
-ClusterBackend::runSlice(const arch::RankTask &) const
-{
-    ENMC_PANIC("the cluster backend has no single-rank slice view; "
-               "use runJob or route through a ClusterRouter");
-}
-
 runtime::TimingResult
 ClusterBackend::runJob(const runtime::JobSpec &spec) const
 {

@@ -28,10 +28,6 @@ class ClusterBackend : public runtime::Backend
 
     /** "cluster(<nodes>x<node backend>)", the route every batch records. */
     std::string name() const override;
-    runtime::BackendCapabilities capabilities() const override;
-
-    /** Panics: the fabric has no single-rank slice view. */
-    arch::RankResult runSlice(const arch::RankTask &task) const override;
 
     /** Scatter -> compute -> gather time over the current node health. */
     runtime::TimingResult runJob(const runtime::JobSpec &spec) const override;

@@ -4,8 +4,10 @@
 
 namespace enmc::cluster {
 
+namespace {
+
 runtime::SystemConfig
-ClusterNode::nodeSystem(uint32_t id, const ClusterConfig &cfg)
+nodeSystem(uint32_t id, const ClusterConfig &cfg)
 {
     runtime::SystemConfig sys = cfg.node;
     // Every node draws its own fault stream family: same seed on every
@@ -15,13 +17,10 @@ ClusterNode::nodeSystem(uint32_t id, const ClusterConfig &cfg)
     return sys;
 }
 
+} // namespace
+
 ClusterNode::ClusterNode(uint32_t id, const ClusterConfig &cfg)
-    : backend_(id,
-               std::make_unique<runtime::MemoizedBackend>(
-                   runtime::createBackend(cfg.node_backend,
-                                          nodeSystem(id, cfg))),
-               cfg.node.resilience),
-      system_(nodeSystem(id, cfg)),
+    : id_(id), system_(nodeSystem(id, cfg)),
       stats_("cluster.node." + std::to_string(id)),
       stat_dispatched_(stats_.addCounter(
           "dispatchedBatches", "shard-batches routed to this node")),
@@ -36,29 +35,17 @@ ClusterNode::ClusterNode(uint32_t id, const ClusterConfig &cfg)
 void
 ClusterNode::kill()
 {
-    if (!backend_.alive())
+    if (!alive_)
         return;
-    backend_.kill();
+    alive_ = false;
     ++stat_killed_;
 }
 
 void
 ClusterNode::recordDispatch(uint64_t requests)
 {
-    backend_.recordDispatch();
     ++stat_dispatched_;
     stat_requests_ += requests;
-}
-
-double
-ClusterNode::shardJobUs(const runtime::JobSpec &job, uint64_t rows,
-                        uint64_t batch, uint64_t candidates) const
-{
-    runtime::JobSpec spec = job;
-    spec.categories = rows;
-    spec.batch = batch;
-    spec.candidates = candidates;
-    return backend_.runJob(spec).seconds * 1e6;
 }
 
 void
@@ -68,7 +55,7 @@ ClusterNode::runShard(const nn::Classifier &classifier,
                       uint64_t ranks, uint64_t row_begin, uint64_t rows,
                       runtime::EnmcSystem::FunctionalResult &out) const
 {
-    ENMC_ASSERT(backend_.alive(), "functional shard routed to a dead node");
+    ENMC_ASSERT(alive_, "functional shard routed to a dead node");
     system_.runFunctionalRange(classifier, screener, h_batch, ranks,
                                row_begin, rows, out);
 }

@@ -1,22 +1,21 @@
 /**
  * @file
- * One simulated ENMC node of the cluster fabric: a `runtime::NodeBackend`
- * (health + load + timing) paired with the node's own `EnmcSystem` for
- * functional shard execution, plus per-node observability
- * ("cluster.node.<id>" stat groups — the per-node view the router's
- * scatter/gather accounting is checked against).
+ * One simulated ENMC node of the cluster fabric: liveness, the node's
+ * own `EnmcSystem` for functional shard execution (with its own fault
+ * seed), and per-node observability ("cluster.node.<id>" stat groups —
+ * the per-node view the router's scatter/gather accounting is checked
+ * against). Shard timing is not per node: every node runs the same
+ * configuration, so the router times all shards through one memo.
  */
 
 #ifndef ENMC_CLUSTER_NODE_H
 #define ENMC_CLUSTER_NODE_H
 
-#include <memory>
 #include <vector>
 
 #include "cluster/config.h"
 #include "common/stats.h"
 #include "obs/registry.h"
-#include "runtime/node_backend.h"
 #include "runtime/system.h"
 
 namespace enmc::cluster {
@@ -26,24 +25,17 @@ class ClusterNode
   public:
     ClusterNode(uint32_t id, const ClusterConfig &cfg);
 
-    uint32_t id() const { return backend_.id(); }
-    runtime::NodeHealth health() const { return backend_.health(); }
-    bool alive() const { return backend_.alive(); }
-    uint64_t load() const { return backend_.load(); }
-    runtime::NodeBackend &backend() { return backend_; }
+    uint32_t id() const { return id_; }
+    bool alive() const { return alive_; }
 
+    /** Cumulative dispatched shard-batches (least-loaded routing key). */
+    uint64_t load() const { return stat_dispatched_.value(); }
+
+    /** Operator/scripted kill: the node is never routed to again. */
     void kill();
 
     /** Tally one shard-batch dispatched to this node. */
     void recordDispatch(uint64_t requests);
-
-    /**
-     * Simulated service time (us) of this node running `rows` label rows
-     * of `job` at the given batch/candidate share (memoized by the
-     * node's `MemoizedBackend`).
-     */
-    double shardJobUs(const runtime::JobSpec &job, uint64_t rows,
-                      uint64_t batch, uint64_t candidates) const;
 
     /**
      * Functional execution of classifier rows
@@ -60,10 +52,8 @@ class ClusterNode
     StatGroup &stats() { return stats_; }
 
   private:
-    static runtime::SystemConfig nodeSystem(uint32_t id,
-                                            const ClusterConfig &cfg);
-
-    runtime::NodeBackend backend_;
+    uint32_t id_;
+    bool alive_ = true;
     runtime::EnmcSystem system_;
 
     // Per-node stats ("cluster.node.<id>").

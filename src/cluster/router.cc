@@ -10,9 +10,22 @@
 
 namespace enmc::cluster {
 
+namespace {
+
+const ClusterConfig &
+validated(const ClusterConfig &cfg)
+{
+    validate(cfg);
+    return cfg;
+}
+
+} // namespace
+
 ClusterRouter::ClusterRouter(const ClusterConfig &cfg,
                              const runtime::JobSpec &job)
-    : cfg_(cfg), job_(job), stats_("cluster.router"),
+    : cfg_(validated(cfg)), job_(job),
+      timing_(runtime::createBackend(cfg.node_backend, cfg.node)),
+      stats_("cluster.router"),
       stat_batches_(stats_.addCounter("routedBatches",
                                       "batches routed through the cluster")),
       stat_shard_dispatches_(stats_.addCounter(
@@ -30,7 +43,6 @@ ClusterRouter::ClusterRouter(const ClusterConfig &cfg,
           32)),
       stats_registration_(stats_)
 {
-    validate(cfg_);
     ENMC_ASSERT(job_.categories >= 1,
                 "cluster router needs a non-empty label space");
     shards_ = runtime::RankPartitioner::partition(0, job_.categories,
@@ -68,6 +80,17 @@ ClusterRouter::candidateShare(uint64_t candidates) const
 {
     return std::max<uint64_t>(
         1, runtime::RankPartitioner::evenShare(candidates, shards_.size()));
+}
+
+double
+ClusterRouter::shardUs(uint64_t rows, uint64_t batch,
+                       uint64_t candidates) const
+{
+    runtime::JobSpec spec = job_;
+    spec.categories = rows;
+    spec.batch = batch;
+    spec.candidates = candidates;
+    return timing_.runJob(spec).seconds * 1e6;
 }
 
 void
@@ -174,8 +197,7 @@ ClusterRouter::serviceUs(uint64_t batch, uint64_t candidates) const
     // no handoff — exactly the single-backend service time, so the
     // 1-node cluster stays bit-identical to the non-cluster path.
     if (nodes_.size() == 1)
-        return nodes_[0]->shardJobUs(job_, shards_[0].rows, batch,
-                                     candidates);
+        return shardUs(shards_[0].rows, batch, candidates);
 
     // Scatter: the router sends each owning shard's features
     // point-to-point, plus one ingest handoff per shard message.
@@ -191,8 +213,7 @@ ClusterRouter::serviceUs(uint64_t batch, uint64_t candidates) const
     // batch finishes when the slowest node does.
     std::vector<double> node_us(nodes_.size(), 0.0);
     for (size_t s = 0; s < shards_.size(); ++s)
-        node_us[owners[s]] += nodes_[owners[s]]->shardJobUs(
-            job_, shards_[s].rows, batch, cand_share);
+        node_us[owners[s]] += shardUs(shards_[s].rows, batch, cand_share);
     const double compute_us =
         *std::max_element(node_us.begin(), node_us.end());
 

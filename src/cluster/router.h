@@ -17,12 +17,16 @@
  * whole assignment sequence is a pure function of the batch sequence
  * and the health history — replayable bit-for-bit.
  *
- * **Failover.** Node health is the `runtime::NodeBackend` state machine
- * (Alive -> Suspect -> Dead); a Dead node (scripted kill or blacklist)
- * is never routed to again, its shards fail over to the surviving
- * replicas, and the router dies loudly if a shard has no live replica
- * left. Merging is through `tensor::mergeTopK`, so a failover changes
- * *which node computed* a shard, never the answer.
+ * **Failover.** A killed node (scripted or operator kill) is never
+ * routed to again, its shards fail over to the surviving replicas, and
+ * the router dies loudly if a shard has no live replica left. Merging
+ * is through `tensor::mergeTopK`, so a failover changes *which node
+ * computed* a shard, never the answer.
+ *
+ * **Timing.** Every node runs the same `cfg.node` system, and the
+ * timing path never reads the per-node fault seed, so the router times
+ * all shards through one `MemoizedBackend`: each distinct shard shape
+ * is simulated once per cluster, not once per node.
  */
 
 #ifndef ENMC_CLUSTER_ROUTER_H
@@ -37,6 +41,7 @@
 #include "common/stats.h"
 #include "obs/registry.h"
 #include "runtime/api.h"
+#include "runtime/backend.h"
 #include "runtime/partition.h"
 
 namespace enmc::cluster {
@@ -87,8 +92,8 @@ class ClusterRouter
      * the first live replica), and the result gather. All network and
      * handoff terms vanish on a single-node cluster, which therefore
      * times bit-identically to the plain single-backend path. Plain
-     * arithmetic over the nodes' memoized shard timings, so a health
-     * transition re-times the very next call. Routes nothing.
+     * arithmetic over the memoized shard timings, so a kill re-times
+     * the very next call. Routes nothing.
      */
     double serviceUs(uint64_t batch, uint64_t candidates) const;
 
@@ -122,10 +127,16 @@ class ClusterRouter
     void killNodeLocked(uint32_t id, double now_us);
     uint64_t candidateShare(uint64_t candidates) const;
 
+    /** Simulated time (us) of one node running `rows` label rows of the
+     *  job at the given batch and candidate share. */
+    double shardUs(uint64_t rows, uint64_t batch,
+                   uint64_t candidates) const;
+
     ClusterConfig cfg_;
     runtime::JobSpec job_;
     std::vector<runtime::RowSlice> shards_;
     std::vector<std::unique_ptr<ClusterNode>> nodes_;
+    runtime::MemoizedBackend timing_;
 
     mutable std::mutex mutex_;
     uint64_t batches_routed_ = 0;

@@ -11,22 +11,12 @@
 
 namespace enmc::runtime {
 
-arch::RankResult
-Backend::runFunctionalSlice(const arch::RankTask &task) const
-{
-    (void)task;
-    ENMC_PANIC("backend '", name(), "' does not support functional execution");
-}
-
 TimingResult
-Backend::runJob(const JobSpec &spec) const
+scaledSliceTiming(
+    arch::RankTask task, uint64_t ranks, Cycles extra_cycles,
+    const SystemConfig &cfg,
+    const std::function<arch::RankResult(const arch::RankTask &)> &run)
 {
-    ENMC_ASSERT(spec.categories > 0, "job dimensions not set");
-    const uint64_t ranks = cfg_.totalRanks();
-    arch::RankTask task = EnmcSystem::makeSliceTask(
-        spec, RankPartitioner::sliceRows(spec.categories, ranks),
-        RankPartitioner::evenShare(spec.candidates, ranks));
-
     // Very large slices are truncated and scaled linearly — screening is
     // tile-homogeneous, so the steady-state rate transfers (validated
     // against full runs for the ENMC path in tests/runtime).
@@ -39,13 +29,13 @@ Backend::runJob(const JobSpec &spec) const
         task.categories = max_rows;
     }
 
-    const arch::RankResult r = runSlice(task);
+    const arch::RankResult r = run(task);
     TimingResult res;
     res.rank = r;
     res.ranks = ranks;
     res.extrapolated = scale != 1.0;
-    res.rank_cycles = static_cast<Cycles>(r.cycles * scale);
-    res.seconds = cyclesToSeconds(res.rank_cycles, cfg_.timing.freq_hz);
+    res.rank_cycles = static_cast<Cycles>(r.cycles * scale) + extra_cycles;
+    res.seconds = cyclesToSeconds(res.rank_cycles, cfg.timing.freq_hz);
     if (res.extrapolated) {
         res.rank.cycles = res.rank_cycles;
         res.rank.screen_bytes =
@@ -81,24 +71,6 @@ MemoizedBackend::MemoizedBackend(std::unique_ptr<Backend> inner)
 {
 }
 
-BackendCapabilities
-MemoizedBackend::capabilities() const
-{
-    return inner_->capabilities();
-}
-
-arch::RankResult
-MemoizedBackend::runSlice(const arch::RankTask &task) const
-{
-    return inner_->runSlice(task);
-}
-
-arch::RankResult
-MemoizedBackend::runFunctionalSlice(const arch::RankTask &task) const
-{
-    return inner_->runFunctionalSlice(task);
-}
-
 TimingResult
 MemoizedBackend::runJob(const JobSpec &spec) const
 {
@@ -123,16 +95,6 @@ EnmcBackend::EnmcBackend(const SystemConfig &cfg)
 {
 }
 
-BackendCapabilities
-EnmcBackend::capabilities() const
-{
-    BackendCapabilities caps;
-    caps.functional = true;
-    caps.description = "ENMC rank model: INT4 Screener + FP32 Executor "
-                       "with on-the-fly threshold FILTER (paper Fig. 7)";
-    return caps;
-}
-
 arch::RankResult
 EnmcBackend::runSlice(const arch::RankTask &task) const
 {
@@ -140,14 +102,6 @@ EnmcBackend::runSlice(const arch::RankTask &task) const
     arch::EnmcRank rank(cfg_.enmc, rank_org, cfg_.timing);
     const CompiledJob job = compileClassification(task, cfg_.enmc);
     return rank.run(job.program, task);
-}
-
-arch::RankResult
-EnmcBackend::runFunctionalSlice(const arch::RankTask &task) const
-{
-    ENMC_ASSERT(task.functional(),
-                "functional slice needs tensor payloads attached");
-    return runSlice(task);
 }
 
 TimingResult
@@ -166,21 +120,24 @@ NmpBackend::NmpBackend(std::string name, const nmp::EngineConfig &engine,
 {
 }
 
-BackendCapabilities
-NmpBackend::capabilities() const
-{
-    BackendCapabilities caps;
-    caps.functional = false;
-    caps.description = std::string(nmp::engineKindName(engine_.kind)) +
-                       " rank-level NMP baseline (paper Table 4)";
-    return caps;
-}
-
 arch::RankResult
 NmpBackend::runSlice(const arch::RankTask &task) const
 {
     nmp::NmpEngine engine(engine_, cfg_.org.singleRankView(), cfg_.timing);
     return engine.run(task);
+}
+
+TimingResult
+NmpBackend::runJob(const JobSpec &spec) const
+{
+    ENMC_ASSERT(spec.categories > 0, "job dimensions not set");
+    const uint64_t ranks = cfg_.totalRanks();
+    const arch::RankTask task = EnmcSystem::makeSliceTask(
+        spec, RankPartitioner::sliceRows(spec.categories, ranks),
+        RankPartitioner::evenShare(spec.candidates, ranks));
+    return scaledSliceTiming(
+        task, ranks, /*extra_cycles=*/0, cfg_,
+        [this](const arch::RankTask &t) { return runSlice(t); });
 }
 
 // ----------------------------------------------------------------- CPU
@@ -189,18 +146,6 @@ CpuBackend::CpuBackend(const SystemConfig &cfg, bool screening,
                        const nmp::CpuConfig &cpu)
     : Backend(cfg), screening_(screening), cpu_(cpu)
 {
-}
-
-BackendCapabilities
-CpuBackend::capabilities() const
-{
-    BackendCapabilities caps;
-    caps.functional = false;
-    caps.description =
-        screening_
-            ? "host CPU roofline with approximate screening (Fig. 5)"
-            : "host CPU roofline, full classification (the baseline)";
-    return caps;
 }
 
 double

@@ -36,14 +36,6 @@
 
 namespace enmc::runtime {
 
-/** What a backend can do (capability negotiation for callers). */
-struct BackendCapabilities
-{
-    /** Bit-accurate functional slices (tensor payloads honoured). */
-    bool functional = false;
-    std::string description;
-};
-
 /** One dispatched batch: the route that served it and its timing. */
 struct BatchRun
 {
@@ -60,25 +52,8 @@ class Backend
     /** Registry key ("enmc", "tensordimm", "cpu", ...). */
     virtual std::string name() const = 0;
 
-    virtual BackendCapabilities capabilities() const = 0;
-
-    /** Timing execution of one rank slice (payloads ignored/absent). */
-    virtual arch::RankResult runSlice(const arch::RankTask &task) const = 0;
-
-    /**
-     * Functional execution of one rank slice (task carries tensor
-     * payloads). Panics unless `capabilities().functional`.
-     */
-    virtual arch::RankResult
-    runFunctionalSlice(const arch::RankTask &task) const;
-
-    /**
-     * Full-job timing: partition the job across the system's ranks and
-     * run the representative slice. The default truncates very large
-     * slices and scales linearly (screening is tile-homogeneous);
-     * backends with their own extrapolation override this.
-     */
-    virtual TimingResult runJob(const JobSpec &spec) const;
+    /** Full-job timing in the DDR clock of `config()`. */
+    virtual TimingResult runJob(const JobSpec &spec) const = 0;
 
     /**
      * Route and time one dispatched batch. The serve loop calls this
@@ -109,6 +84,17 @@ class Backend
     SystemConfig cfg_;
 };
 
+/**
+ * Time one representative rank slice of a job partitioned over `ranks`
+ * ranks: slices past 64K rows are truncated and the result scaled
+ * linearly (screening is tile-homogeneous). `extra_cycles` is added to
+ * the job's cycles after scaling (a host-side penalty).
+ */
+TimingResult scaledSliceTiming(
+    arch::RankTask task, uint64_t ranks, Cycles extra_cycles,
+    const SystemConfig &cfg,
+    const std::function<arch::RankResult(const arch::RankTask &)> &run);
+
 /** The ENMC rank model (Screener + Executor + FILTER, Fig. 7). */
 class EnmcBackend : public Backend
 {
@@ -116,11 +102,10 @@ class EnmcBackend : public Backend
     explicit EnmcBackend(const SystemConfig &cfg);
 
     std::string name() const override { return "enmc"; }
-    BackendCapabilities capabilities() const override;
-    arch::RankResult runSlice(const arch::RankTask &task) const override;
-    arch::RankResult
-    runFunctionalSlice(const arch::RankTask &task) const override;
     TimingResult runJob(const JobSpec &spec) const override;
+
+    /** One rank slice; honours tensor payloads when the task has them. */
+    arch::RankResult runSlice(const arch::RankTask &task) const;
 };
 
 /** A Table 4 NMP baseline (NDA / Chameleon / TensorDIMM / -Large). */
@@ -131,8 +116,8 @@ class NmpBackend : public Backend
                const SystemConfig &cfg);
 
     std::string name() const override { return name_; }
-    BackendCapabilities capabilities() const override;
-    arch::RankResult runSlice(const arch::RankTask &task) const override;
+    TimingResult runJob(const JobSpec &spec) const override;
+    arch::RankResult runSlice(const arch::RankTask &task) const;
 
     const nmp::EngineConfig &engineConfig() const { return engine_; }
 
@@ -156,9 +141,8 @@ class CpuBackend : public Backend
     {
         return screening_ ? "cpu" : "cpu-full";
     }
-    BackendCapabilities capabilities() const override;
-    arch::RankResult runSlice(const arch::RankTask &task) const override;
     TimingResult runJob(const JobSpec &spec) const override;
+    arch::RankResult runSlice(const arch::RankTask &task) const;
 
   private:
     double sliceSeconds(const arch::RankTask &task) const;
@@ -171,10 +155,10 @@ class CpuBackend : public Backend
  * Timing memo in front of a deterministic backend: `runJob` runs the
  * inner backend once per distinct `JobSpec` and serves repeats from a
  * map, so replay costs O(distinct shapes) simulations. Wrap leaf
- * backends (the serve loop's fixed backend, a planner candidate, a
- * cluster node), never a meta-backend: memoizing the planner would
- * freeze its first decision per shape, and the cluster's time depends
- * on node health. Everything else delegates.
+ * backends (the serve loop's fixed backend, a planner candidate, the
+ * cluster's per-shard timing), never a meta-backend: memoizing the
+ * planner would freeze its first decision per shape, and the cluster's
+ * time depends on node health. Everything else delegates.
  */
 class MemoizedBackend : public Backend
 {
@@ -182,10 +166,6 @@ class MemoizedBackend : public Backend
     explicit MemoizedBackend(std::unique_ptr<Backend> inner);
 
     std::string name() const override { return inner_->name(); }
-    BackendCapabilities capabilities() const override;
-    arch::RankResult runSlice(const arch::RankTask &task) const override;
-    arch::RankResult
-    runFunctionalSlice(const arch::RankTask &task) const override;
     TimingResult runJob(const JobSpec &spec) const override;
 
   private:

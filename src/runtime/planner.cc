@@ -387,34 +387,6 @@ AutoBackend::AutoBackend(const SystemConfig &cfg, PlannerConfig plan)
     planner_ = std::make_unique<OffloadPlanner>(plan, std::move(resolved));
 }
 
-BackendCapabilities
-AutoBackend::capabilities() const
-{
-    BackendCapabilities caps;
-    caps.functional = false;
-    caps.description =
-        "adaptive offload planner (NMPO): profiles the candidate backends "
-        "per traffic bin and routes each job to the argmin-cost one";
-    return caps;
-}
-
-arch::RankResult
-AutoBackend::runSlice(const arch::RankTask &task) const
-{
-    PlanBin bin;
-    bin.batch_bucket = ceilLog2(std::max<uint64_t>(1, task.batch));
-    bin.cand_bucket =
-        ceilLog2(std::max<uint64_t>(1, task.expected_candidates));
-    bin.categories = task.categories;
-    bin.hidden = task.hidden;
-
-    const OffloadPlanner::Decision d = planner_->plan(bin);
-    const arch::RankResult r = candidate(d.backend).runSlice(task);
-    planner_->observe(bin, d.backend,
-                      cyclesToSeconds(r.cycles, cfg_.timing.freq_hz) * 1e6);
-    return r;
-}
-
 AutoBackend::PlannedRun
 AutoBackend::runPlanned(const JobSpec &spec) const
 {

@@ -237,8 +237,6 @@ class AutoBackend : public Backend
                          PlannerConfig plan = plannerConfigFromEnv());
 
     std::string name() const override { return "auto"; }
-    BackendCapabilities capabilities() const override;
-    arch::RankResult runSlice(const arch::RankTask &task) const override;
     TimingResult runJob(const JobSpec &spec) const override;
 
     /** One planned dispatch with full provenance (the serve loop records

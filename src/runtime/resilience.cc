@@ -24,17 +24,6 @@ ResilientBackend::ResilientBackend(const SystemConfig &cfg)
 {
 }
 
-BackendCapabilities
-ResilientBackend::capabilities() const
-{
-    BackendCapabilities caps;
-    caps.functional = true;
-    caps.description = "ENMC rank model with SECDED-driven resilience: "
-                       "slice retry with backoff, stuck-rank blacklisting "
-                       "and approximate-logit degradation";
-    return caps;
-}
-
 std::vector<uint32_t>
 ResilientBackend::healthyRanks() const
 {
@@ -51,15 +40,9 @@ ResilientBackend::healthyRanks() const
 }
 
 arch::RankResult
-ResilientBackend::runWithRetry(const arch::RankTask &task,
-                               bool functional) const
+ResilientBackend::runSlice(const arch::RankTask &task) const
 {
-    auto execute = [&](const arch::RankTask &t) {
-        return functional ? inner_.runFunctionalSlice(t)
-                          : inner_.runSlice(t);
-    };
-
-    arch::RankResult res = execute(task);
+    arch::RankResult res = inner_.runSlice(task);
     fault::FaultInjector *injector = task.injector;
     if (injector == nullptr || !injector->enabled()) {
         std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -97,7 +80,7 @@ ResilientBackend::runWithRetry(const arch::RankTask &task,
             injector->stream() + (retries << 32));
         arch::RankTask retry_task = task;
         retry_task.injector = &retry_injector;
-        res = execute(retry_task);
+        res = inner_.runSlice(retry_task);
         injector->counters() += retry_injector.counters();
     }
     res.cycles += penalty;
@@ -118,18 +101,6 @@ ResilientBackend::runWithRetry(const arch::RankTask &task,
     return res;
 }
 
-arch::RankResult
-ResilientBackend::runSlice(const arch::RankTask &task) const
-{
-    return runWithRetry(task, /*functional=*/false);
-}
-
-arch::RankResult
-ResilientBackend::runFunctionalSlice(const arch::RankTask &task) const
-{
-    return runWithRetry(task, /*functional=*/true);
-}
-
 TimingResult
 ResilientBackend::runJob(const JobSpec &spec) const
 {
@@ -143,22 +114,6 @@ ResilientBackend::runJob(const JobSpec &spec) const
         RankPartitioner::evenShare(spec.candidates, ranks));
     task.rank_index = healthy.front();
 
-    // Same truncate-and-scale policy as the generic backend path.
-    const uint64_t max_rows = 64 * 1024;
-    double scale = 1.0;
-    if (task.categories > max_rows) {
-        scale = static_cast<double>(task.categories) / max_rows;
-        task.expected_candidates = std::max<uint64_t>(
-            1, static_cast<uint64_t>(task.expected_candidates / scale));
-        task.categories = max_rows;
-    }
-
-    const arch::RankResult r = runSlice(task);
-    TimingResult res;
-    res.rank = r;
-    res.ranks = ranks;
-    res.extrapolated = scale != 1.0;
-    res.rank_cycles = static_cast<Cycles>(r.cycles * scale);
     // Discovering each dead rank cost the host `blacklist_after` failed
     // probe slices of one backoff each before it was dropped.
     const uint64_t blacklisted = cfg_.totalRanks() - ranks;
@@ -166,22 +121,11 @@ ResilientBackend::runJob(const JobSpec &spec) const
         std::lock_guard<std::mutex> lock(stats_mutex_);
         stat_blacklisted_ += blacklisted;
     }
-    res.rank_cycles += blacklisted * cfg_.resilience.blacklist_after *
-                       cfg_.resilience.retry_backoff_cycles;
-    res.seconds = cyclesToSeconds(res.rank_cycles, cfg_.timing.freq_hz);
-    if (res.extrapolated) {
-        res.rank.cycles = res.rank_cycles;
-        res.rank.screen_bytes =
-            static_cast<uint64_t>(r.screen_bytes * scale);
-        res.rank.exec_bytes = static_cast<uint64_t>(r.exec_bytes * scale);
-        res.rank.output_bytes =
-            static_cast<uint64_t>(r.output_bytes * scale);
-        res.rank.dram_reads = static_cast<uint64_t>(r.dram_reads * scale);
-        res.rank.dram_writes = static_cast<uint64_t>(r.dram_writes * scale);
-        res.rank.dram_acts = static_cast<uint64_t>(r.dram_acts * scale);
-        res.rank.dram_refs = static_cast<uint64_t>(r.dram_refs * scale);
-    }
-    return res;
+    return scaledSliceTiming(
+        task, ranks,
+        blacklisted * cfg_.resilience.blacklist_after *
+            cfg_.resilience.retry_backoff_cycles,
+        cfg_, [this](const arch::RankTask &t) { return runSlice(t); });
 }
 
 EnmcSystem::FunctionalResult

@@ -85,6 +85,7 @@ EnmcSystem::EnmcSystem(const SystemConfig &cfg)
 void
 EnmcSystem::recordSlice(const RankResult &res) const
 {
+    std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stat_slices_;
     stat_candidates_ += res.candidates;
     stat_fault_injected_ += res.faults.injected_words;
@@ -170,7 +171,10 @@ EnmcSystem::runRank(const RankTask &task) const
 TimingResult
 EnmcSystem::runTiming(const JobSpec &spec) const
 {
-    ++stat_timing_runs_;
+    {
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        ++stat_timing_runs_;
+    }
     obs::TraceSpan span("runTiming", "pipeline");
     span.arg("categories", static_cast<double>(spec.categories));
     span.arg("batch", static_cast<double>(spec.batch));
@@ -249,8 +253,11 @@ EnmcSystem::runFunctionalRange(const nn::Classifier &classifier,
     const uint64_t ranks = std::min<uint64_t>(ranks_to_use, row_count);
     const uint64_t batch = h_batch.size();
 
-    ++stat_functional_runs_;
-    stat_batch_items_ += batch;
+    {
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        ++stat_functional_runs_;
+        stat_batch_items_ += batch;
+    }
     obs::TraceSpan request_span("request", "pipeline");
     request_span.arg("rows", static_cast<double>(row_count));
     request_span.arg("batch", static_cast<double>(batch));
@@ -318,9 +325,6 @@ EnmcSystem::runFunctionalRange(const nn::Classifier &classifier,
         RankPartitioner::partition(row_begin, row_count, ranks);
     const EnmcBackend plain_backend(cfg_);
     const ResilientBackend resilient_backend(cfg_);
-    const Backend &backend =
-        cfg_.resilient ? static_cast<const Backend &>(resilient_backend)
-                       : plain_backend;
 
     // Each slice is a self-contained rank simulation: workers build their
     // own tensor slices and EnmcRank instance, park the RankResult in a
@@ -397,7 +401,8 @@ EnmcSystem::runFunctionalRange(const nn::Classifier &classifier,
         if (cfg_.fault.enabled)
             task.injector = &injector;
 
-        results[s] = backend.runFunctionalSlice(task);
+        results[s] = cfg_.resilient ? resilient_backend.runSlice(task)
+                                    : plain_backend.runSlice(task);
         // The slice injector accumulates every attempt (retries merge
         // their counters back into it); the result's own delta only
         // covers the final attempt.
@@ -434,6 +439,7 @@ EnmcSystem::runFunctionalRange(const nn::Classifier &classifier,
     // Load-imbalance histogram: each slice's cycles relative to the
     // slowest slice (1.0 = critical path).
     if (out.rank_cycles > 0) {
+        std::lock_guard<std::mutex> lock(stats_mutex_);
         for (size_t s = 0; s < slices.size(); ++s)
             stat_slice_skew_.sample(
                 static_cast<double>(results[s].cycles) /

@@ -17,6 +17,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "common/stats.h"
@@ -182,11 +183,14 @@ class EnmcSystem
 
     SystemConfig cfg_;
 
-    // Job-level stats ("runtime.system"): slices are tallied in the
-    // (serial) merge loop, so no lock is needed. The fault mirrors let
-    // the metrics consumer check the ECC accounting invariant
-    // (faultInjectedWords == faultCorrected + faultDetected +
-    // faultEscaped) from the exported JSON alone.
+    // Job-level stats ("runtime.system"). A cluster node runs several
+    // shards through one system concurrently once a failover has moved
+    // a shard onto it, so updates lock stats_mutex_ (the counters are
+    // plain uint64s). The fault mirrors let the metrics consumer check
+    // the ECC accounting invariant (faultInjectedWords ==
+    // faultCorrected + faultDetected + faultEscaped) from the exported
+    // JSON alone.
+    mutable std::mutex stats_mutex_;
     StatGroup stats_;
     Counter &stat_functional_runs_;
     Counter &stat_timing_runs_;

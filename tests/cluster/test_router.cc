@@ -2,8 +2,8 @@
  * @file
  * Tests for the cluster fabric's building blocks: the shard map
  * (RankPartitioner at node granularity, including degenerate shapes),
- * chained-declustering replica placement, the NodeBackend health state
- * machine, least-loaded routing, scripted kills + failover, the
+ * chained-declustering replica placement, node liveness and load,
+ * the shared shard-timing memo, least-loaded routing, scripted kills + failover, the
  * health-aware service-time model, the paper's Section 8 scale-out
  * behaviour through that model, and the cluster backend.
  */
@@ -11,11 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <set>
 
 #include "cluster/backend.h"
 #include "cluster/router.h"
-#include "runtime/node_backend.h"
 #include "screening/trainer.h"
 #include "workloads/synthetic.h"
 
@@ -86,52 +86,28 @@ TEST(Partitioner, NonDividingRemainderCoversExactly)
     EXPECT_EQ(slices.back().rows, 1u);
 }
 
-// --- node health state machine ------------------------------------------
+// --- nodes --------------------------------------------------------------
 
-TEST(NodeBackend, WalksAliveSuspectDead)
+TEST(ClusterNode, KillIsImmediate)
 {
-    fault::ResilienceConfig resilience;
-    resilience.blacklist_after = 3;
-    runtime::NodeBackend node(2, runtime::createBackend("enmc"),
-                              resilience);
-    EXPECT_EQ(node.health(), runtime::NodeHealth::Alive);
+    ClusterNode node(0, config());
     EXPECT_TRUE(node.alive());
-    EXPECT_EQ(node.name(), "node2:enmc");
-
-    node.recordFailure();
-    EXPECT_EQ(node.health(), runtime::NodeHealth::Suspect);
-    EXPECT_TRUE(node.alive()); // suspect still serves traffic
-
-    node.recordSuccess(); // strike forgiven
-    EXPECT_EQ(node.health(), runtime::NodeHealth::Alive);
-
-    node.recordFailure();
-    node.recordFailure();
-    EXPECT_EQ(node.health(), runtime::NodeHealth::Suspect);
-    node.recordFailure(); // third consecutive strike
-    EXPECT_EQ(node.health(), runtime::NodeHealth::Dead);
-    EXPECT_FALSE(node.alive());
-
-    node.recordSuccess(); // dead nodes stay dead
-    EXPECT_EQ(node.health(), runtime::NodeHealth::Dead);
-}
-
-TEST(NodeBackend, KillIsImmediate)
-{
-    runtime::NodeBackend node(0, runtime::createBackend("enmc"),
-                              fault::ResilienceConfig{});
     node.kill();
-    EXPECT_EQ(node.health(), runtime::NodeHealth::Dead);
+    EXPECT_FALSE(node.alive());
+    node.kill(); // dead nodes stay dead; the kill is counted once
+    EXPECT_EQ(node.stats().counter("killed").value(), 1u);
 }
 
-TEST(NodeBackend, LoadTracksDispatches)
+TEST(ClusterNode, LoadTracksDispatches)
 {
-    runtime::NodeBackend node(0, runtime::createBackend("enmc"),
-                              fault::ResilienceConfig{});
+    ClusterNode node(0, config());
     EXPECT_EQ(node.load(), 0u);
-    node.recordDispatch();
+    node.recordDispatch(1);
     node.recordDispatch(3);
-    EXPECT_EQ(node.load(), 4u);
+    // Load counts shard-batches, not the requests inside them.
+    EXPECT_EQ(node.load(), 2u);
+    EXPECT_EQ(node.stats().counter("dispatchedBatches").value(), 2u);
+    EXPECT_EQ(node.stats().counter("servedRequests").value(), 4u);
 }
 
 // --- configuration validation -------------------------------------------
@@ -299,6 +275,52 @@ TEST(Router, ServiceTimeRetimesAfterAKill)
     EXPECT_GT(after, before);
 }
 
+/** CPU-roofline timing that counts its runJob calls. */
+class CountingBackend : public runtime::CpuBackend
+{
+  public:
+    CountingBackend(const runtime::SystemConfig &cfg,
+                    std::shared_ptr<int> runs)
+        : CpuBackend(cfg), runs_(std::move(runs))
+    {
+    }
+
+    std::string name() const override { return "test-count"; }
+
+    runtime::TimingResult runJob(const runtime::JobSpec &spec) const override
+    {
+        ++*runs_;
+        return CpuBackend::runJob(spec);
+    }
+
+  private:
+    std::shared_ptr<int> runs_;
+};
+
+TEST(Router, SimulatesEachShardShapeOncePerCluster)
+{
+    // Every node runs the same system, so one memo times the whole
+    // cluster: four equal shards on four nodes are one simulation, and
+    // a failover onto another node re-uses it.
+    auto runs = std::make_shared<int>(0);
+    runtime::BackendRegistry::instance().add(
+        "test-count", [runs](const runtime::SystemConfig &cfg) {
+            return std::make_unique<CountingBackend>(cfg, runs);
+        });
+    ClusterConfig cfg = config(4, 2);
+    cfg.node_backend = "test-count";
+    ClusterRouter router(cfg, job());
+    ASSERT_EQ(router.shardCount(), 4u);
+
+    const double before = router.serviceUs(8, 64);
+    EXPECT_EQ(*runs, 1);
+    router.killNode(1);
+    EXPECT_GT(router.serviceUs(8, 64), before);
+    EXPECT_EQ(*runs, 1);
+    router.serviceUs(16, 64); // a new batch size is a new shape
+    EXPECT_EQ(*runs, 2);
+}
+
 // --- scale-out (paper Section 8) through the router --------------------
 
 /** A global sigmoid problem at 1 item per batch (Section 8's shape). */
@@ -438,7 +460,6 @@ TEST(ClusterBackend, TimesWithoutRoutingAndRoutesPerBatch)
 {
     ClusterBackend backend(config(4, 2), job());
     EXPECT_EQ(backend.name(), "cluster(4xenmc)");
-    EXPECT_FALSE(backend.capabilities().functional);
     runtime::JobSpec spec = job();
     spec.batch = 8;
     spec.candidates = 64;

@@ -70,8 +70,9 @@ TEST_P(DramStress, RandomTrafficConservedUnderAllTimings)
     EXPECT_EQ(ctrl.stats().counter("reads").value() +
                   ctrl.stats().counter("writes").value(),
               issued);
-    if (p.refresh)
+    if (p.refresh) {
         EXPECT_GT(ctrl.stats().counter("refreshes").value(), 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -257,8 +257,9 @@ expectRoundTrips(const Instruction &inst)
     ASSERT_EQ(back.buf0, inst.buf0) << inst.toString();
     ASSERT_EQ(back.reg_write, inst.reg_write) << inst.toString();
     ASSERT_EQ(back.has_payload, inst.has_payload) << inst.toString();
-    if (inst.has_payload)
+    if (inst.has_payload) {
         ASSERT_EQ(back.payload, inst.payload) << inst.toString();
+    }
     // Two-buffer shapes also preserve the second operand.
     switch (inst.op) {
       case Opcode::Move:

